@@ -16,7 +16,7 @@
 //!    NAT/session tables had before the flow-table rewrite).
 //! 2. **Insertion throughput** — on the pure-churn CPS workload (every
 //!    packet a fresh flow, idle entries reclaimed at a sampling cadence)
-//!    the flow table's batched insert path must sustain **>= 2x** the
+//!    the flow table's insert path must sustain **>= 2x** the
 //!    HashMap baseline's insertions/sec. Median of within-round ratios, so
 //!    frequency drift between rounds cancels.
 //! 3. **CPS ceiling vs flow lifetime** — steady-state install rate must
@@ -47,7 +47,7 @@ use albatross_sim::{SimTime, TokenBucket};
 use albatross_testkit::{BenchStats, BenchTimer};
 use albatross_workload::{ShortFlowKind, ShortFlowSource, TrafficSource};
 
-/// Lanes per insert burst.
+/// Inserts per timed iteration.
 const BURST: usize = 64;
 
 // ---------------------------------------------------------------------------
@@ -214,30 +214,22 @@ fn churn_tuples() -> Vec<FiveTuple> {
 fn bench_flowtab_churn(timer: &BenchTimer, tuples: &[FiveTuple]) -> BenchStats {
     let mut table: FlowTable<FiveTuple, SimTime> = FlowTable::with_capacity(64 * 1024);
     let mut wheel = ExpiryWheel::for_timeout(CHURN_TIMEOUT);
-    let mut batch: Vec<(FiveTuple, SimTime)> = Vec::with_capacity(BURST);
-    let mut outcomes: Vec<InsertOutcome> = Vec::with_capacity(BURST);
     let mut base = 0usize;
     let mut t = 0u64;
     let mut iter = 0usize;
     let mut acc = 0u64;
     timer.bench("cps_frontier_flowtab", || {
-        batch.clear();
         for lane in 0..BURST {
             let tuple = tuples[(base + lane) & (RING - 1)];
             t += GAP_NS;
-            batch.push((tuple, SimTime::from_nanos(t)));
-        }
-        base = (base + BURST) & (RING - 1);
-        table.insert_burst(&batch, &mut outcomes);
-        for (lane, o) in outcomes.iter().enumerate() {
-            if let InsertOutcome::Created(slot) = *o {
-                wheel.schedule(
-                    slot,
-                    batch[lane].1.saturating_add_ns(CHURN_TIMEOUT.as_nanos()),
-                );
+            let now = SimTime::from_nanos(t);
+            let o = table.insert(tuple, now);
+            if let InsertOutcome::Created(slot) = o {
+                wheel.schedule(slot, now.saturating_add_ns(CHURN_TIMEOUT.as_nanos()));
             }
             acc ^= o.slot().map_or(0, |s| u64::from(s.slot));
         }
+        base = (base + BURST) & (RING - 1);
         iter += 1;
         if iter.is_multiple_of(EXPIRE_EVERY) {
             let now = SimTime::from_nanos(t);
@@ -505,7 +497,7 @@ fn main() {
     );
     rep.row(
         "pure churn: ~32K live flows, every insert first-sight",
-        "batched bucketed inserts >= 2x HashMap baseline",
+        "bucketed inserts >= 2x HashMap baseline",
         format!("{speedup:.2}x ({h:.1} -> {f:.1} M inserts/s)"),
         "wall-clock; not part of the RESULT diff",
     );

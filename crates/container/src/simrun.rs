@@ -14,9 +14,9 @@
 //! 5, 8, 9, 10, 11, 12, 13, 14, 16, 17) drives this loop with a different
 //! [`SimConfig`] and traffic source. Runs are deterministic per seed.
 //!
-//! # Burst datapath
+//! # Inline batching
 //!
-//! The inner loop is burst-mode (DPDK style): source packets are admitted
+//! The inner loop batches like a DPDK RX burst: source packets are admitted
 //! in batches of up to [`BurstConfig::burst_size`] without bouncing each
 //! one through the event heap, zero-jitter CPU returns short-circuit the
 //! heap the same way, and every egress/timeout drain goes through
@@ -36,7 +36,6 @@ use albatross_core::engine::{
 use albatross_core::ratelimit::{RateLimiterConfig, TwoStageRateLimiter};
 use albatross_core::reorder::ReorderConfig;
 use albatross_fpga::basic::PayloadBuffer;
-use albatross_fpga::burst::BurstConfig;
 use albatross_fpga::dma::DmaEngine;
 use albatross_fpga::pipeline::{Direction, NicPipelineLatency};
 use albatross_fpga::pkt::{DeliveryMode, NicPacket};
@@ -51,6 +50,25 @@ use albatross_sim::{
 };
 use albatross_telemetry::{CoreUtilization, LatencyHistogram, RateMeter, TimeSeries};
 use albatross_workload::{PacketDesc, TrafficSource};
+
+/// Default inline-arrival batch size, matching the common DPDK RX burst.
+pub const DEFAULT_BURST: usize = 32;
+
+/// Inline-arrival batching of the simulation loop (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstConfig {
+    /// Arrivals admitted per batch without an event-heap round trip. `1`
+    /// is the scalar per-packet loop; every size yields the same report.
+    pub burst_size: usize,
+}
+
+impl Default for BurstConfig {
+    fn default() -> Self {
+        Self {
+            burst_size: DEFAULT_BURST,
+        }
+    }
+}
 
 /// Full configuration of one simulated pod.
 #[derive(Debug, Clone)]
@@ -127,7 +145,7 @@ pub struct SimConfig {
     pub payload_buffer_bytes: u64,
     /// Statistics reset point (cache warm-up).
     pub warmup: SimTime,
-    /// Burst datapath configuration. `burst_size = 1` reproduces the
+    /// Inline-arrival batching. `burst_size = 1` reproduces the
     /// scalar per-packet loop bit-for-bit; larger sizes batch identically
     /// (see the module docs) but amortize the event-heap traffic.
     pub burst: BurstConfig,
@@ -143,7 +161,7 @@ impl SimConfig {
             data_cores,
             service,
             mode: LbMode::Plb,
-            ordqs: (data_cores / 6).clamp(1, 8),
+            ordqs: PlbEngineConfig::for_pod(data_cores).ordqs,
             reorder_depth: 4096,
             reorder_timeout_ns: 100_000,
             rate_limiter: None,
@@ -517,8 +535,8 @@ pub struct PodSimulation {
     tenant_latency: HashMap<u32, LatencyHistogram>,
     hh_slot_occupancy: TimeSeries,
     poll_at: Option<SimTime>,
-    // burst-datapath scratch (preallocated; reused every cycle so steady
-    // state never allocates)
+    // loop scratch (preallocated; reused every cycle so steady state never
+    // allocates)
     egress_buf: EgressBuf,
     timeout_buf: Vec<(usize, u32)>,
     util_buf: Vec<f64>,

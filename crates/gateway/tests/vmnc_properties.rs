@@ -1,6 +1,7 @@
-//! Property tests: the VM→NC batch lookup agrees with scalar lookups on
-//! arbitrary maps and address batches (duplicates and misses included).
+//! Property tests: VM→NC lookups agree with a plain `HashMap` model on
+//! arbitrary maps and queries (duplicates, hits and misses included).
 
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use albatross_gateway::vmnc::{NcInfo, VmNcMap};
@@ -9,39 +10,30 @@ use albatross_testkit::prelude::*;
 props! {
     #![cases(128)]
 
-    fn lookup_burst_equals_n_scalar_lookups(
+    fn lookup_matches_hashmap_model(
         entries in vec_of((0u32..8, any::<u32>(), any::<u32>(), any::<u32>()), 0..64),
         queries in vec_of((0u32..8, any::<u32>()), 1..80),
-        dup_from in any::<u32>(),
     ) {
         // Small VNI space so a good fraction of queries hit; last write
-        // wins on duplicate (vni, ip) keys exactly as HashMap::insert does.
+        // wins on duplicate (vni, ip) keys in both the map and the model.
         let mut map = VmNcMap::new();
+        let mut model = HashMap::new();
         for &(vni, ip, nc, evni) in &entries {
-            map.insert(vni, Ipv4Addr::from(ip), NcInfo {
+            let info = NcInfo {
                 nc_addr: Ipv4Addr::from(nc),
                 encap_vni: evni,
-            });
+            };
+            map.insert(vni, Ipv4Addr::from(ip), info);
+            model.insert((vni, ip), info);
         }
-        let mut vnis: Vec<u32> = queries.iter().map(|&(v, _)| v).collect();
-        let mut ips: Vec<u32> = queries.iter().map(|&(_, ip)| ip).collect();
-        // Force a duplicate lane, and make some lanes query installed keys
-        // so both hits and misses are exercised.
-        let src = (dup_from as usize) % vnis.len();
-        vnis.push(vnis[src]);
-        ips.push(ips[src]);
-        if let Some(&(vni, ip, _, _)) = entries.first() {
-            vnis.push(vni);
-            ips.push(ip);
-        }
-        let mut burst = Vec::new();
-        map.lookup_burst(&vnis, &ips, &mut burst);
-        assert_eq!(burst.len(), vnis.len());
-        for i in 0..vnis.len() {
+        assert_eq!(map.len(), model.len());
+        // Query every installed key as well, so hits are always exercised.
+        let installed = entries.iter().map(|&(vni, ip, _, _)| (vni, ip));
+        for (vni, ip) in queries.iter().copied().chain(installed) {
             assert_eq!(
-                burst[i],
-                map.lookup(vnis[i], Ipv4Addr::from(ips[i])),
-                "lane {i}"
+                map.lookup(vni, Ipv4Addr::from(ip)),
+                model.get(&(vni, ip)).copied(),
+                "vni {vni} ip {}", Ipv4Addr::from(ip)
             );
         }
     }

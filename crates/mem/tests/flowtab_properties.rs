@@ -1,6 +1,5 @@
 //! Property tests: `FlowTable` against a `std::collections::HashMap`
-//! model-mirror under arbitrary churn, burst ≡ scalar equivalence, and the
-//! `ExpiryWheel` contract.
+//! model-mirror under arbitrary churn, and the `ExpiryWheel` contract.
 //!
 //! The mirror runs every operation through both structures. The flow table
 //! is fixed-capacity, so the model mirrors rejections: when `insert`
@@ -109,49 +108,6 @@ props! {
         trace in vec_of((any::<u8>(), any::<u16>(), any::<u64>()), 1..150),
     ) {
         churn_against_model(8, 12, &trace);
-    }
-
-    /// `lookup_burst` over an arbitrary churned table equals N scalar
-    /// `slot_of` calls, including misses and repeated keys.
-    fn burst_lookup_equals_scalar(
-        seed in vec_of((any::<u16>(), any::<u64>()), 0..80),
-        probes in vec_of(any::<u16>(), 1..64),
-    ) {
-        let mut t: FlowTable<u64, u64> = FlowTable::with_capacity(64);
-        for &(k, v) in &seed {
-            let _ = t.insert(u64::from(k) % 96, v);
-        }
-        let keys: Vec<u64> = probes.iter().map(|&k| u64::from(k) % 96).collect();
-        let scalar: Vec<Option<SlotRef>> = keys.iter().map(|k| t.slot_of(k)).collect();
-        let mut burst = Vec::new();
-        t.lookup_burst(&keys, &mut burst);
-        assert_eq!(burst, scalar);
-    }
-
-    /// `insert_burst` equals N scalar `insert` calls — same outcomes in
-    /// order (batch-internal duplicates resolve sequentially) and an
-    /// identical table afterwards, at any fill level including Full.
-    fn burst_insert_equals_scalar(
-        prefill in vec_of((any::<u16>(), any::<u64>()), 0..40),
-        batch in vec_of((any::<u16>(), any::<u64>()), 1..64),
-    ) {
-        let build = || {
-            let mut t: FlowTable<u64, u64> = FlowTable::with_capacity(32);
-            for &(k, v) in &prefill {
-                let _ = t.insert(u64::from(k) % 48, v);
-            }
-            t
-        };
-        let items: Vec<(u64, u64)> = batch.iter().map(|&(k, v)| (u64::from(k) % 48, v)).collect();
-        let mut a = build();
-        let mut out = Vec::new();
-        a.insert_burst(&items, &mut out);
-        let mut b = build();
-        let scalar: Vec<InsertOutcome> = items.iter().map(|&(k, v)| b.insert(k, v)).collect();
-        assert_eq!(out, scalar);
-        let av: Vec<_> = a.iter().map(|(_, k, v)| (*k, *v)).collect();
-        let bv: Vec<_> = b.iter().map(|(_, k, v)| (*k, *v)).collect();
-        assert_eq!(av, bv);
     }
 
     /// The expiry-wheel contract over arbitrary insert/touch/advance

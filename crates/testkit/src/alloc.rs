@@ -1,8 +1,8 @@
 //! Allocation-counting global allocator for steady-state tests.
 //!
-//! The burst datapath promises *zero steady-state allocation*: once the
-//! simulation's scratch buffers (packet bursts, egress buffers, timeout
-//! lists) have grown to their working size, processing more packets must
+//! The simulation loop promises *zero steady-state allocation*: once its
+//! scratch buffers (egress buffers, timeout lists, utilization samples)
+//! have grown to their working size, processing more packets must
 //! not touch the allocator. That invariant is easy to break silently — a
 //! stray `Vec::new()` in a hot path compiles fine and benches "okay" — so
 //! it is enforced by a test hook instead: install [`CountingAllocator`] as

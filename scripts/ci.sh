@@ -35,6 +35,13 @@ cargo build --release --offline --workspace --benches
 echo "==> cargo test (offline)"
 cargo test -q --offline --release --workspace
 
+echo "==> perfbench tests (offline)"
+# The host-time benchmark is its own workspace over the crates' public API,
+# and its traced replay mirrors PodSimulation's loop counter for counter
+# (perfbench/tests/replay_faithfulness.rs). Building and testing it here
+# turns an API break or a replay desync into a CI failure.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc (offline, no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
@@ -92,19 +99,6 @@ echo "==> co-resident pod fleet smoke (examples/containerized_az)"
 # report (exercises ScenarioFleet + SimReport::merge_ordered end to end).
 cargo run --release --offline --example containerized_az -- --threads 2
 
-echo "==> scalar-vs-burst datapath smoke bench"
-# The burst refactor's perf claim, exercised on every CI run: the burst
-# datapath must actually run (regressions in speedup are judged from the
-# printed report, not gated here — CI machines are too noisy for a ratio).
-cargo bench --offline -p albatross-bench --bench micro -- burst_datapath
-
-echo "==> SoA hot-path smoke bench"
-# Scalar vs burst (AoS) vs SoA lane-view hot path on the Tab. 3 shape.
-# The run starts with an untimed exactness gate (SoA ≡ AoS burst on
-# routes, NC lookups, verdicts, and the pass bitmask) that hard-fails on
-# divergence; the >= 1.3x speedup is judged from the printed report.
-cargo bench --offline -p albatross-bench --bench soa_hot_path -- soa_hot_path
-
 echo "==> fleet + timing-wheel scaling smoke bench"
 # Wheel-vs-heap events/sec and the 8-scenario fleet wall-clock ratio; the
 # printed gates are judged from the report (single-core CI machines cannot
@@ -137,7 +131,7 @@ echo "==> CPS frontier smoke bench + determinism gate"
 # Short-flow/CPS frontier over the bucketed flow table. The bench itself
 # hard-gates the untimed exactness arm (FlowStateEngine verdict-for-verdict
 # against a HashMap model, plus installs == expired conservation after the
-# final drain), the >= 2x batched-insert speedup over the default-hasher
+# final drain), the >= 2x insert speedup over the default-hasher
 # HashMap baseline, the install-budget CPS ceilings, and the churn-flood
 # limiter (zero resident misses under a 1M CPS flood). Here the canonical
 # RESULT lines from two full runs must additionally be byte-identical —

@@ -82,6 +82,22 @@ fn usage() {
     );
 }
 
+/// Parses a flag value that must be strictly positive. Zero cores, flows,
+/// rates or ACL moduli describe no scenario, so they are usage errors here
+/// rather than asserts deep inside the simulator.
+fn positive<T>(name: &str, raw: &str) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + Default,
+    T::Err: std::fmt::Display,
+{
+    let v: T = raw.parse().map_err(|e| format!("{name}: {e}"))?;
+    if v > T::default() {
+        Ok(v)
+    } else {
+        Err(format!("{name} must be positive, got {raw}"))
+    }
+}
+
 fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
     let cmd = argv.next().unwrap_or_else(|| "help".into());
     let mut args = Args::default();
@@ -91,7 +107,7 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
             it.next().ok_or_else(|| format!("{name} needs a value"))
         };
         match flag.as_str() {
-            "--cores" => args.cores = value("--cores")?.parse().map_err(|e| format!("{e}"))?,
+            "--cores" => args.cores = positive("--cores", &value("--cores")?)?,
             "--mode" => {
                 args.mode = match value("--mode")?.as_str() {
                     "plb" => LbMode::Plb,
@@ -108,22 +124,18 @@ fn parse(mut argv: std::env::Args) -> Result<(String, Args), String> {
                     other => return Err(format!("unknown service {other}")),
                 }
             }
-            "--pps" => args.pps = value("--pps")?.parse().map_err(|e| format!("{e}"))?,
-            "--flows" => args.flows = value("--flows")?.parse().map_err(|e| format!("{e}"))?,
+            "--pps" => args.pps = positive("--pps", &value("--pps")?)?,
+            "--flows" => args.flows = positive("--flows", &value("--flows")?)?,
             "--pkt-bytes" => {
                 args.pkt_bytes = value("--pkt-bytes")?.parse().map_err(|e| format!("{e}"))?
             }
             "--millis" => args.millis = value("--millis")?.parse().map_err(|e| format!("{e}"))?,
             "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
             "--ratelimit" => {
-                args.ratelimit = Some(value("--ratelimit")?.parse().map_err(|e| format!("{e}"))?)
+                args.ratelimit = Some(positive("--ratelimit", &value("--ratelimit")?)?)
             }
             "--acl-drop-mod" => {
-                args.acl_drop_mod = Some(
-                    value("--acl-drop-mod")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
+                args.acl_drop_mod = Some(positive("--acl-drop-mod", &value("--acl-drop-mod")?)?)
             }
             "--no-drop-flag" => args.drop_flag = false,
             "--header-only" => args.header_only = true,

@@ -1,10 +1,10 @@
-//! Zero-steady-state-allocation guard for the burst datapath.
+//! Zero-steady-state-allocation guard for the simulation loop.
 //!
-//! The burst refactor's core promise is that once the simulation's scratch
-//! buffers (packet bursts, egress buffers, timeout/utilization scratch,
-//! reorder-release scratch) reach their working size, pushing more packets
-//! through the datapath does not touch the allocator. Strict zero is not
-//! attainable at the whole-simulation level — telemetry time series and
+//! Once `PodSimulation`'s scratch buffers (the egress buffer, the timeout
+//! and utilization scratch, the engine's reorder-release scratch) reach
+//! their working size, pushing more packets through the datapath does not
+//! touch the allocator. Strict zero is not attainable at the
+//! whole-simulation level — telemetry time series and
 //! tenant rate-meter windows legitimately append as simulated time passes,
 //! and the event heap grows amortized — so this test measures the marginal
 //! cost instead: a run 5× longer than the baseline must cost only a
@@ -13,7 +13,10 @@
 //!
 //! Lives in its own test binary because `#[global_allocator]` is
 //! process-global and the counters are only meaningful without concurrent
-//! allocating tests.
+//! allocating tests; the tests in this binary take [`SERIAL`] so the
+//! harness's parallel test threads cannot count into each other's deltas.
+
+use std::sync::{Mutex, MutexGuard};
 
 use albatross::container::simrun::{PodSimulation, SimConfig};
 use albatross::gateway::flowstate::FlowStateConfig;
@@ -24,6 +27,15 @@ use albatross_testkit::CountingAllocator;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Holds the allocation counters for one test at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Runs the standard scenario for `millis` of simulated time and returns
 /// `(packets offered, allocation calls during the run)`.
@@ -82,6 +94,7 @@ fn run_cps(millis: u64) -> (u64, u64) {
 fn presized_cache_stats_never_allocate_on_access() {
     use albatross::mem::SharedCache;
 
+    let _serial = serial();
     // `with_cores` pre-sizes the per-core hit/miss vectors, so accesses
     // from every in-range core — including the very first from each core —
     // must be allocation-free. This is the cache-model half of the
@@ -108,6 +121,7 @@ fn presized_cache_stats_never_allocate_on_access() {
 
 #[test]
 fn longer_runs_cost_only_telemetry_allocations() {
+    let _serial = serial();
     // Warm-up run absorbs one-time lazy setup (thread-local buffers,
     // formatting machinery) so the measured runs start from steady state.
     run(2);
@@ -135,6 +149,7 @@ fn longer_runs_cost_only_telemetry_allocations() {
 
 #[test]
 fn cps_churn_costs_only_telemetry_allocations() {
+    let _serial = serial();
     // The flow table, expiry wheel, and NAT shards are fixed-capacity by
     // construction, so even pure table churn — every packet a fresh flow,
     // installs and expiries cycling constantly — must not touch the

