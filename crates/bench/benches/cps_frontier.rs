@@ -39,7 +39,7 @@ use albatross_bench::ExperimentReport;
 use albatross_container::simrun::{PodSimulation, SimConfig, SimReport};
 use albatross_core::engine::LbMode;
 use albatross_fpga::tier::InstallBudget;
-use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowVerdict};
+use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowStats, FlowVerdict};
 use albatross_gateway::services::ServiceKind;
 use albatross_mem::{ExpiryWheel, FlowTable, InsertOutcome, WheelDecision};
 use albatross_packet::FiveTuple;
@@ -62,10 +62,7 @@ struct BaselineEngine {
     budget: Option<TokenBucket>,
     capacity: usize,
     idle_timeout: SimTime,
-    hits: u64,
-    installs: u64,
-    deferred: u64,
-    expired: u64,
+    stats: FlowStats,
 }
 
 impl BaselineEngine {
@@ -77,31 +74,28 @@ impl BaselineEngine {
                 .map(|b| TokenBucket::new(b.installs_per_sec, b.burst)),
             capacity: cfg.capacity,
             idle_timeout: cfg.idle_timeout,
-            hits: 0,
-            installs: 0,
-            deferred: 0,
-            expired: 0,
+            stats: FlowStats::default(),
         }
     }
 
     fn on_packet(&mut self, tuple: &FiveTuple, now: SimTime) -> FlowVerdict {
         if let Some(last) = self.map.get_mut(tuple) {
             *last = now;
-            self.hits += 1;
+            self.stats.hits += 1;
             return FlowVerdict::Resident;
         }
         if let Some(b) = &mut self.budget {
             if !b.allow_packet(now) {
-                self.deferred += 1;
+                self.stats.deferred += 1;
                 return FlowVerdict::SlowPath;
             }
         }
         if self.map.len() >= self.capacity {
-            self.deferred += 1;
+            self.stats.deferred += 1;
             return FlowVerdict::SlowPath;
         }
         self.map.insert(*tuple, now);
-        self.installs += 1;
+        self.stats.installs += 1;
         FlowVerdict::Installed
     }
 
@@ -110,7 +104,7 @@ impl BaselineEngine {
         let before = self.map.len();
         self.map
             .retain(|_, last| now.saturating_since(*last) < timeout.as_nanos());
-        self.expired += (before - self.map.len()) as u64;
+        self.stats.expired += (before - self.map.len()) as u64;
     }
 }
 
@@ -158,9 +152,10 @@ fn verify_engine_matches_baseline() -> String {
         assert_eq!(a, b, "verdict diverged at packet {pkts} ({:?})", p.time);
         pkts += 1;
     }
-    assert_eq!(fast.hits(), slow.hits, "hit counters diverged");
-    assert_eq!(fast.installs(), slow.installs, "install counters diverged");
-    assert_eq!(fast.deferred(), slow.deferred, "deferred counters diverged");
+    let (f, b) = (fast.stats(), slow.stats);
+    assert_eq!(f.hits, b.hits, "hit counters diverged");
+    assert_eq!(f.installs, b.installs, "install counters diverged");
+    assert_eq!(f.deferred, b.deferred, "deferred counters diverged");
     // Final drain far past every deadline: both tables must empty, and
     // every install must be accounted for as an expiry.
     let drain = end.saturating_add_ns(20 * cfg.idle_timeout.as_nanos());
@@ -168,19 +163,12 @@ fn verify_engine_matches_baseline() -> String {
     slow.expire(drain);
     assert_eq!(fast.len(), 0, "flow table must drain");
     assert_eq!(slow.map.len(), 0, "baseline must drain");
-    assert_eq!(
-        fast.expired(),
-        fast.installs(),
-        "install/expiry conservation"
-    );
-    assert_eq!(fast.expired(), slow.expired, "expiry totals diverged");
+    let f = fast.stats();
+    assert_eq!(f.expired, f.installs, "install/expiry conservation");
+    assert_eq!(f, slow.stats, "counters diverged after the drain");
     format!(
         "RESULT cps_frontier arm=exactness pkts={} hits={} installs={} deferred={} expired={}",
-        pkts,
-        fast.hits(),
-        fast.installs(),
-        fast.deferred(),
-        fast.expired()
+        pkts, f.hits, f.installs, f.deferred, f.expired
     )
 }
 
@@ -311,17 +299,18 @@ fn run_ceiling(timeout: SimTime) -> CeilingArm {
             next_tick += 1_000_000;
         }
         if half_installs.is_none() && p.time >= half {
-            half_installs = Some(engine.installs());
+            half_installs = Some(engine.stats().installs);
         }
         engine.on_packet(&p.tuple, p.time);
     }
     let measured_window = end.saturating_since(half) as f64 / 1e9;
-    let measured_cps = (engine.installs() - half_installs.unwrap_or(0)) as f64 / measured_window;
+    let s = engine.stats();
+    let measured_cps = (s.installs - half_installs.unwrap_or(0)) as f64 / measured_window;
     CeilingArm {
         predicted_cps: BUDGET.min(CAPACITY as f64 / (timeout.as_nanos() as f64 / 1e9)),
         measured_cps,
-        installs: engine.installs(),
-        deferred: engine.deferred(),
+        installs: s.installs,
+        deferred: s.deferred,
     }
 }
 

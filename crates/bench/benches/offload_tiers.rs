@@ -2,11 +2,11 @@
 //! hierarchy (DESIGN.md §4h).
 //!
 //! The static session-offload ablation pins one point: 50K of 200K Zipf
-//! flows pre-installed by an oracle meter 89.2% of packets in BRAM. This
-//! harness generalizes that point into a *policy frontier*: the tiered
-//! engine discovers elephants online (no oracle), places them under
-//! token-bucketed install budgets, and spills the discovery band into a
-//! DPU table when the BRAM runs out.
+//! flows pre-installed by an oracle meter 89.1% (0.8915) of packets in
+//! BRAM. This harness generalizes that point into a *policy frontier*: the
+//! tiered engine discovers elephants online (no oracle), places them
+//! under token-bucketed install budgets, and spills the discovery band
+//! into a DPU table when the BRAM runs out.
 //!
 //! Gates, in order:
 //!
@@ -16,7 +16,8 @@
 //!    again across two full bench runs by `scripts/ci.sh`.
 //! 2. **Pinned-point generalization** — at the pinned 50K-session BRAM
 //!    footprint (plus the DPU spill tier) and a generous install budget,
-//!    the online hierarchy must meet the static oracle's 89.2% hit rate.
+//!    the online hierarchy must reach a 89.2% hit rate — stricter than
+//!    the static oracle's 89.1%.
 //! 3. **The budget knob moves the frontier** — a starved install budget
 //!    must visibly cost hit rate and show up as deferred installs; a
 //!    generous one must recover the frontier.
@@ -149,10 +150,11 @@ fn main() {
     );
     let mut results: Vec<(String, ArmResult)> = Vec::new();
 
-    // -- Gate 1+2: the pinned 89.2% point, discovered online ---------------
-    // Static pin: 50K of 200K Zipf(1.0) flows oracle-installed = 89.2% of
-    // packets metered in BRAM. Same BRAM footprint here, but the engine
-    // must *find* the elephants itself; the DPU absorbs the discovery band.
+    // -- Gate 1+2: the pinned static point, discovered online -------------
+    // Static pin: 50K of 200K Zipf(1.0) flows oracle-installed = 89.1% of
+    // packets metered in BRAM; the gate asks for 89.2%, a hair stricter.
+    // Same BRAM footprint here, but the engine must *find* the elephants
+    // itself; the DPU absorbs the discovery band.
     // Sticky residency for the anchor (demotion off): the 200K hardware
     // slots cover the population, so placement converges to "every flow
     // that ever proved itself an elephant" and the oracle gap closes.
@@ -175,7 +177,7 @@ fn main() {
     );
     assert!(
         anchor.hit >= 0.892,
-        "online hierarchy hit rate {:.4} fell below the pinned static 89.2% point",
+        "online hierarchy hit rate {:.4} fell below the 89.2% gate (static oracle: 89.1%)",
         anchor.hit
     );
     rep.row(

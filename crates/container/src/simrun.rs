@@ -40,7 +40,7 @@ use albatross_fpga::dma::DmaEngine;
 use albatross_fpga::pipeline::{Direction, NicPipelineLatency};
 use albatross_fpga::pkt::{DeliveryMode, NicPacket};
 use albatross_fpga::tier::{SessionTier, TierConfig, TierStats, TieredSessionEngine};
-use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowVerdict};
+use albatross_gateway::flowstate::{FlowStateConfig, FlowStateEngine, FlowStats, FlowVerdict};
 use albatross_gateway::services::{PacketAction, ServiceKind, ServicePipeline};
 use albatross_gateway::worker::DataCore;
 use albatross_mem::tables::CloudGatewayTables;
@@ -101,7 +101,7 @@ pub struct SimConfig {
     /// Mutually exclusive with [`session_tiers`](Self::session_tiers),
     /// which models placement *across* tiers rather than the insertion
     /// rate *into* one; when both are set, `session_tiers` wins and this
-    /// engine is ignored.
+    /// engine is never built.
     pub flow_state: Option<FlowStateConfig>,
     /// Per-core RX descriptor-queue depth.
     pub rx_queue_depth: usize,
@@ -457,17 +457,6 @@ impl SimReport {
             (self.tier_fpga_pkts + self.tier_dpu_pkts) as f64 / total as f64
         }
     }
-
-    /// Fraction of flow-state packets that hit a hardware-resident entry
-    /// during the measured interval. Zero when no flow-state engine ran.
-    pub fn flow_hit_rate(&self) -> f64 {
-        let total = self.flow_hits + self.flow_installs + self.flow_deferred;
-        if total == 0 {
-            0.0
-        } else {
-            self.flow_hits as f64 / total as f64
-        }
-    }
 }
 
 enum Ev {
@@ -501,13 +490,8 @@ pub struct PodSimulation {
     cores: Vec<DataCore>,
     in_flight: Vec<Option<(NicPacket, PacketAction, u64)>>,
     service: ServicePipeline,
-    /// Three-tier session placement engine (FPGA/DPU/CPU); `None` keeps the
-    /// classic all-CPU session path byte-for-byte unchanged.
-    tiers: Option<TieredSessionEngine>,
-    /// Hardware flow-state install frontier; `None` (or a configured
-    /// `tiers` engine, which takes precedence) keeps the classic session
-    /// path byte-for-byte unchanged.
-    flow_state: Option<FlowStateEngine>,
+    /// The flow-residency engine the pod runs, if any.
+    residency: Residency,
     /// Software-stack delay applied between core completion and the NIC TX
     /// path (does not occupy the core).
     stack_jitter: Option<LatencyModel>,
@@ -562,10 +546,67 @@ struct WarmBase {
     hh_evictions: u64,
     hh_promotion_refused: u64,
     tiers: TierStats,
-    flow_hits: u64,
-    flow_installs: u64,
-    flow_deferred: u64,
-    flow_expired: u64,
+    flow: FlowStats,
+}
+
+/// The one engine that answers "is this flow's session state in
+/// hardware?" for a pod.
+enum Residency {
+    /// Every session write stays on the CPU.
+    Off,
+    /// Three-tier FPGA/DPU/CPU placement ([`SimConfig::session_tiers`]).
+    Tiers(Box<TieredSessionEngine>),
+    /// Hardware flow-state install frontier ([`SimConfig::flow_state`]).
+    FlowState(Box<FlowStateEngine>),
+}
+
+impl Residency {
+    /// Builds only the engine that runs: `session_tiers` wins over
+    /// `flow_state`.
+    fn new(cfg: &SimConfig) -> Self {
+        match (&cfg.session_tiers, &cfg.flow_state) {
+            (Some(t), _) => Self::Tiers(Box::new(TieredSessionEngine::new(t.clone()))),
+            (None, Some(f)) => Self::FlowState(Box::new(FlowStateEngine::new(f))),
+            (None, None) => Self::Off,
+        }
+    }
+
+    /// Classifies one packet before the service chain: `(session state
+    /// in hardware, on-core ns, off-core ns)`. Resident flows skip the
+    /// session step; CPU tiering, installs and the slow path burn core
+    /// time (the CPS ceiling); the DPU detour rides the TX delay.
+    fn on_packet(&mut self, pkt: &NicPacket, now: SimTime) -> (bool, u64, u64) {
+        match self {
+            Self::Tiers(t) => {
+                let tier = t.on_packet(&pkt.tuple, pkt.len_bytes, now);
+                let in_hw = tier != SessionTier::Cpu;
+                (in_hw, t.cpu_cost_ns(tier), t.added_latency_ns(tier))
+            }
+            Self::FlowState(f) => {
+                let verdict = f.on_packet(&pkt.tuple, now);
+                (verdict == FlowVerdict::Resident, f.verdict_ns(verdict), 0)
+            }
+            Self::Off => (false, 0, 0),
+        }
+    }
+
+    /// Ages out idle residents; returns how many were reclaimed.
+    fn expire(&mut self, now: SimTime) -> usize {
+        match self {
+            Self::Tiers(t) => t.expire(now),
+            Self::FlowState(f) => f.expire(now),
+            Self::Off => 0,
+        }
+    }
+
+    /// Cumulative counters; the engine that is not running reads zero.
+    fn stats(&self) -> (TierStats, FlowStats) {
+        match self {
+            Self::Tiers(t) => (t.stats(), FlowStats::default()),
+            Self::FlowState(f) => (TierStats::default(), f.stats()),
+            Self::Off => Default::default(),
+        }
+    }
 }
 
 impl PodSimulation {
@@ -604,8 +645,7 @@ impl PodSimulation {
                 .collect(),
             in_flight: (0..cfg.data_cores).map(|_| None).collect(),
             service,
-            tiers: cfg.session_tiers.clone().map(TieredSessionEngine::new),
-            flow_state: cfg.flow_state.as_ref().map(FlowStateEngine::new),
+            residency: Residency::new(&cfg),
             stack_jitter: cfg.extra_jitter.clone(),
             tables,
             mem,
@@ -766,12 +806,7 @@ impl PodSimulation {
                     // Idle-session expiry shares the sampling cadence: the
                     // tick is part of the event order, so expiry timing is
                     // identical across shard geometries.
-                    if let Some(t) = self.tiers.as_mut() {
-                        t.expire(now);
-                    }
-                    if let Some(fs) = self.flow_state.as_mut() {
-                        fs.expire(now);
-                    }
+                    self.residency.expire(now);
                     let window = self.cfg.sample_window.as_nanos();
                     let mut utils = std::mem::take(&mut self.util_buf);
                     utils.clear();
@@ -847,55 +882,16 @@ impl PodSimulation {
         let Some(pkt) = self.cores[core].take_next() else {
             return;
         };
-        let flow_hash = pkt.tuple.compact_hash();
-        let (outcome, tier_ns) = match self.tiers.as_mut() {
-            Some(t) => {
-                // Placement decision per packet: hardware-resident flows skip
-                // the session-table step and pay the serving tier's cost
-                // instead (DPU detour rides the non-core-occupying TX delay,
-                // like stack jitter).
-                let tier = t.on_packet(&pkt.tuple, pkt.len_bytes, now);
-                let mut o = self.service.process_offloaded(
-                    core,
-                    flow_hash,
-                    tier != SessionTier::Cpu,
-                    &self.tables,
-                    &mut self.mem,
-                    &mut self.rng,
-                );
-                o.latency_ns += t.cpu_cost_ns(tier);
-                (o, t.added_latency_ns(tier))
-            }
-            None => match self.flow_state.as_mut() {
-                Some(fs) => {
-                    // Flow-state frontier: residents skip the session step;
-                    // installs and slow-path packets pay their cost on the
-                    // core (the install doorbell and the software fallback
-                    // both burn CPU — that is exactly the CPS ceiling).
-                    let verdict = fs.on_packet(&pkt.tuple, now);
-                    let mut o = self.service.process_offloaded(
-                        core,
-                        flow_hash,
-                        verdict == FlowVerdict::Resident,
-                        &self.tables,
-                        &mut self.mem,
-                        &mut self.rng,
-                    );
-                    o.latency_ns += fs.verdict_ns(verdict);
-                    (o, 0)
-                }
-                None => (
-                    self.service.process(
-                        core,
-                        flow_hash,
-                        &self.tables,
-                        &mut self.mem,
-                        &mut self.rng,
-                    ),
-                    0,
-                ),
-            },
-        };
+        let (in_hw, core_ns, tier_ns) = self.residency.on_packet(&pkt, now);
+        let mut outcome = self.service.process_offloaded(
+            core,
+            pkt.tuple.compact_hash(),
+            in_hw,
+            &self.tables,
+            &mut self.mem,
+            &mut self.rng,
+        );
+        outcome.latency_ns += core_ns;
         let stall = self
             .nb
             .stall_before(core, now, self.cfg.nominal_load, &mut self.rng);
@@ -1017,6 +1013,7 @@ impl PodSimulation {
 
     fn warm_reset(&mut self) {
         // Snapshot engine-side counters; reset local instruments.
+        let (tiers, flow) = self.residency.stats();
         self.warm_counters = WarmBase {
             offered: self.offered,
             dropped_ratelimit: self.dropped_ratelimit,
@@ -1037,17 +1034,8 @@ impl PodSimulation {
             hh_demotions: self.limiter.as_ref().map_or(0, |l| l.demotions()),
             hh_evictions: self.limiter.as_ref().map_or(0, |l| l.evictions()),
             hh_promotion_refused: self.limiter.as_ref().map_or(0, |l| l.promotion_refused()),
-            tiers: self.tiers.as_ref().map(|t| t.stats()).unwrap_or_default(),
-            flow_hits: self.flow_state.as_ref().map_or(0, FlowStateEngine::hits),
-            flow_installs: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::installs),
-            flow_deferred: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::deferred),
-            flow_expired: self.flow_state.as_ref().map_or(0, FlowStateEngine::expired),
+            tiers,
+            flow,
         };
         self.warm_processed_base = self.cores.iter().map(DataCore::processed).collect();
         self.latency.reset();
@@ -1067,7 +1055,7 @@ impl PodSimulation {
             .map(|(c, base)| c.processed() - base)
             .collect();
         let w = self.warm_counters.clone();
-        let ts = self.tiers.as_ref().map(|t| t.stats()).unwrap_or_default();
+        let (ts, fs) = self.residency.stats();
         let drop_flag_total: u64 = self
             .lb
             .queue_stats()
@@ -1121,19 +1109,10 @@ impl PodSimulation {
             tier_expired: (ts.fpga_expired + ts.dpu_expired)
                 - (w.tiers.fpga_expired + w.tiers.dpu_expired),
             tier_installs_deferred: ts.installs_deferred() - w.tiers.installs_deferred(),
-            flow_hits: self.flow_state.as_ref().map_or(0, FlowStateEngine::hits) - w.flow_hits,
-            flow_installs: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::installs)
-                - w.flow_installs,
-            flow_deferred: self
-                .flow_state
-                .as_ref()
-                .map_or(0, FlowStateEngine::deferred)
-                - w.flow_deferred,
-            flow_expired: self.flow_state.as_ref().map_or(0, FlowStateEngine::expired)
-                - w.flow_expired,
+            flow_hits: fs.hits - w.flow.hits,
+            flow_installs: fs.installs - w.flow.installs,
+            flow_deferred: fs.deferred - w.flow.deferred,
+            flow_expired: fs.expired - w.flow.expired,
         }
     }
 }
@@ -1524,7 +1503,7 @@ mod tests {
             .map(|v| format!("{v}:{}", r.tenant_delivered[v].total()))
             .collect();
         format!(
-            "{:016x}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|t{}:{}:{}:{}:{}:{}:{}:{}:{}",
+            "{:016x}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{:016x}|{:?}|{}|t{}:{}:{}:{}:{}:{}:{}:{}:{}|f{}:{}:{}:{}",
             r.measured_secs.to_bits(),
             r.offered,
             r.processed,
@@ -1546,7 +1525,11 @@ mod tests {
             r.tier_demotions,
             r.tier_evictions,
             r.tier_expired,
-            r.tier_installs_deferred
+            r.tier_installs_deferred,
+            r.flow_hits,
+            r.flow_installs,
+            r.flow_deferred,
+            r.flow_expired
         )
     }
 
@@ -1631,6 +1614,30 @@ mod tests {
             r.processed,
             "every processed packet is attributed to exactly one tier"
         );
+    }
+
+    #[test]
+    fn session_tiers_win_over_flow_state_when_both_are_set() {
+        let run = |cfg: SimConfig| {
+            let flows = FlowSet::generate(60, Some(9), 11);
+            let end = SimTime::from_millis(8);
+            let mut src = ConstantRateSource::new(flows, 200_000, 256, SimTime::ZERO, end);
+            fingerprint(&PodSimulation::new(cfg).run(&mut src, SimTime::from_millis(10)))
+        };
+        // A flow table that changes every packet's charge when consulted.
+        let flow_state = FlowStateConfig {
+            capacity: 8,
+            ..FlowStateConfig::production()
+        };
+        let mut flow_only = tiered_cfg(9);
+        flow_only.session_tiers = None;
+        flow_only.flow_state = Some(flow_state.clone());
+        assert!(!run(flow_only).ends_with("|f0:0:0:0"), "flow state is live");
+        let tiers_only = run(tiered_cfg(9));
+        assert!(tiers_only.ends_with("|f0:0:0:0") && !tiers_only.contains("|t0:0:0:"));
+        let mut both = tiered_cfg(9);
+        both.flow_state = Some(flow_state);
+        assert_eq!(run(both), tiers_only);
     }
 
     #[test]

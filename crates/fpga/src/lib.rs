@@ -24,8 +24,6 @@
 //! * [`sriov`] — PF/VF partitioning that gives each GW pod its own queues.
 //! * [`prio`] — strict-priority protocol queues (BGP/BFD survival under
 //!   overload, §4.3).
-//! * [`offload`] — the §7 future-work extension: FPGA-resident session
-//!   counters that spare write-heavy stateful NFs their coherence tax.
 //! * [`tier`] — the dynamic FPGA/DPU/CPU co-offload hierarchy: elephants
 //!   promoted into hardware under token-bucketed install budgets, mice on
 //!   the CPU, placement driven by the shared heavy-hitter lifecycle.
@@ -35,7 +33,6 @@
 
 pub mod basic;
 pub mod dma;
-pub mod offload;
 pub mod pipeline;
 pub mod pkt;
 pub mod pktdir;

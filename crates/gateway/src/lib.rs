@@ -35,7 +35,7 @@ pub mod vmnc;
 pub mod worker;
 
 pub use acl::{AclAction, AclTable};
-pub use flowstate::{FlowStateConfig, FlowStateEngine, FlowVerdict};
+pub use flowstate::{FlowStateConfig, FlowStateEngine, FlowStats, FlowVerdict};
 pub use lpm::LpmTable;
 pub use nat::SnatTable;
 pub use services::{ServiceKind, ServicePipeline};

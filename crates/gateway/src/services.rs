@@ -176,25 +176,12 @@ impl ServicePipeline {
     }
 
     /// Processes one packet of the flow identified by `flow_hash` on
-    /// `core`, charging every lookup through the memory system. The
-    /// working-set accessor `ws` maps `(table, index)` to addresses.
-    pub fn process(
-        &self,
-        core: usize,
-        flow_hash: u64,
-        tables: &CloudGatewayTables,
-        mem: &mut MemorySystem,
-        rng: &mut SimRng,
-    ) -> ProcessOutcome {
-        self.process_offloaded(core, flow_hash, false, tables, mem, rng)
-    }
-
-    /// [`process`](Self::process) for the tiered co-offload path: when
-    /// `session_in_hw` is set the flow's session state lives in the
-    /// FPGA/DPU tier, so session-table steps are skipped entirely — no
-    /// memory charge, no cache touch. The per-tier CPU saving is emergent:
-    /// chains without a session step (e.g. VPC→VPC) cost the same either
-    /// way, VPC→Internet drops its session lookup.
+    /// `core`, charging every lookup through the memory system. When
+    /// `session_in_hw` is set the flow's session state lives in hardware
+    /// (a residency engine), so session-table steps are skipped entirely —
+    /// no memory charge, no cache touch. The per-tier CPU saving is
+    /// emergent: chains without a session step (e.g. VPC→VPC) cost the
+    /// same either way, VPC→Internet drops its session lookup.
     pub fn process_offloaded(
         &self,
         core: usize,
@@ -274,8 +261,8 @@ mod tests {
         let p = ServicePipeline::new(ServiceKind::VpcVpc, &t);
         let mut mem = mem_small();
         let mut rng = SimRng::seed_from(1);
-        let first = p.process(0, 42, &t, &mut mem, &mut rng);
-        let second = p.process(0, 42, &t, &mut mem, &mut rng);
+        let first = p.process_offloaded(0, 42, false, &t, &mut mem, &mut rng);
+        let second = p.process_offloaded(0, 42, false, &t, &mut mem, &mut rng);
         assert!(second.latency_ns < first.latency_ns);
         assert_eq!(first.action, PacketAction::Forward);
     }
@@ -295,14 +282,6 @@ mod tests {
             hw.latency_ns < cpu.latency_ns,
             "session step must be skipped"
         );
-        // And the flag-off path is exactly `process`.
-        let mut mem_a = mem_small();
-        let mut mem_b = mem_small();
-        let mut rng_a = SimRng::seed_from(4);
-        let mut rng_b = SimRng::seed_from(4);
-        let a = p.process(1, 7, &t, &mut mem_a, &mut rng_a);
-        let b = p.process_offloaded(1, 7, false, &t, &mut mem_b, &mut rng_b);
-        assert_eq!(a.latency_ns, b.latency_ns);
         // A chain without a session step is unaffected by the flag.
         let vpc = ServicePipeline::new(ServiceKind::VpcVpc, &t);
         let mut mem_c = mem_small();
@@ -323,9 +302,11 @@ mod tests {
         let mut vpc_total = 0;
         let mut inet_total = 0;
         for f in 0..500u64 {
-            vpc_total += vpc.process(0, f, &t, &mut mem, &mut rng).latency_ns;
+            vpc_total += vpc
+                .process_offloaded(0, f, false, &t, &mut mem, &mut rng)
+                .latency_ns;
             inet_total += inet
-                .process(0, f + 1_000_000, &t, &mut mem, &mut rng)
+                .process_offloaded(0, f + 1_000_000, false, &t, &mut mem, &mut rng)
                 .latency_ns;
         }
         assert!(
@@ -341,11 +322,13 @@ mod tests {
         let mut mem = mem_small();
         let mut rng = SimRng::seed_from(3);
         assert_eq!(
-            p.process(0, 8, &t, &mut mem, &mut rng).action,
+            p.process_offloaded(0, 8, false, &t, &mut mem, &mut rng)
+                .action,
             PacketAction::Drop
         );
         assert_eq!(
-            p.process(0, 9, &t, &mut mem, &mut rng).action,
+            p.process_offloaded(0, 9, false, &t, &mut mem, &mut rng)
+                .action,
             PacketAction::Forward
         );
     }
@@ -360,8 +343,8 @@ mod tests {
         let mut mem_a = mem_small();
         let mut mem_b = mem_small();
         let mut rng = SimRng::seed_from(4);
-        let dropped = p.process(0, 77, &t, &mut mem_a, &mut rng);
-        let forwarded = full.process(0, 77, &t, &mut mem_b, &mut rng);
+        let dropped = p.process_offloaded(0, 77, false, &t, &mut mem_a, &mut rng);
+        let forwarded = full.process_offloaded(0, 77, false, &t, &mut mem_b, &mut rng);
         assert_eq!(dropped.action, PacketAction::Drop);
         assert!(dropped.latency_ns < forwarded.latency_ns);
     }
@@ -375,8 +358,12 @@ mod tests {
         let mut mem_a = mem_small();
         let mut mem_b = mem_small();
         let mut rng = SimRng::seed_from(5);
-        let a = base.process(0, 1, &t, &mut mem_a, &mut rng).latency_ns;
-        let b = jittered.process(0, 1, &t, &mut mem_b, &mut rng).latency_ns;
+        let a = base
+            .process_offloaded(0, 1, false, &t, &mut mem_a, &mut rng)
+            .latency_ns;
+        let b = jittered
+            .process_offloaded(0, 1, false, &t, &mut mem_b, &mut rng)
+            .latency_ns;
         assert_eq!(b, a + 5_000);
     }
 

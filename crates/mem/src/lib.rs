@@ -23,8 +23,8 @@
 //!   access through.
 //! * [`flowtab::FlowTable`] / [`flowtab::ExpiryWheel`] — the CPS-grade flow
 //!   table the stateful consumers (`gateway::nat`, `gateway::session`,
-//!   `fpga::offload`) keep their real entries in: cache-line-bucketed open
-//!   addressing with batched probes and amortized `O(expired)` expiry.
+//!   `gateway::flowstate`) keep their real entries in: cache-line-bucketed
+//!   open addressing with amortized `O(expired)` expiry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -114,7 +114,7 @@ cargo bench --offline -p albatross-bench --bench shard_scaling -- shard_scaling
 
 echo "==> co-offload tier sweep smoke bench + determinism gate"
 # Zipf sweep of the dynamic FPGA/DPU/CPU hierarchy. The bench itself gates
-# the pinned 89.2% anchor, the budget-knob frontier and the DPU spill arm;
+# the 89.2% anchor, the budget-knob frontier and the DPU spill arm;
 # here the canonical RESULT lines (floats as raw bits) from two full runs
 # must additionally be byte-identical — tier placement is deterministic by
 # contract.
@@ -126,6 +126,18 @@ if [ "$tiers_a" != "$tiers_b" ]; then
     exit 1
 fi
 echo "    offload_tiers RESULT lines byte-identical across two runs"
+
+echo "==> static session-offload smoke bench (ablation_session_offload)"
+# The oracle-installed flow table over a 200K-flow Zipf population. The
+# bench asserts every hot flow installs; here its 8-core scaling row must
+# also report a shape match.
+offload=$(cargo bench --offline -p albatross-bench --bench ablation_session_offload -- ablation_session_offload)
+if grep -q 'SHAPE MISMATCH' <<<"$offload"; then
+    echo "ERROR: ablation_session_offload reports a SHAPE MISMATCH" >&2
+    printf '%s\n' "$offload" >&2
+    exit 1
+fi
+echo "    ablation_session_offload shape matches"
 
 echo "==> CPS frontier smoke bench + determinism gate"
 # Short-flow/CPS frontier over the bucketed flow table. The bench itself
