@@ -191,21 +191,31 @@ impl ServicePipeline {
         mem: &mut MemorySystem,
         rng: &mut SimRng,
     ) -> ProcessOutcome {
+        // Per-flow, per-step deterministic entry index: the same flow
+        // re-reads the same entries (that is what the cache can exploit).
+        let steps = self
+            .steps
+            .iter()
+            .zip(&self.entry_bytes)
+            .filter(|(step, _)| !(session_in_hw && step.table == tables.session))
+            .map(|(step, &bytes)| {
+                let addr = tables.ws.entry_addr(step.table, mix(flow_hash, step.salt));
+                (step.table, addr, bytes)
+            });
+        // The lookups are independent, so touch every entry's tag-store
+        // lines first: their host cache misses overlap instead of queueing
+        // behind each other. Touching changes no modeled state.
+        for (_, addr, bytes) in steps.clone() {
+            mem.touch_entry(addr, bytes);
+        }
         let mut latency = self.base_ns;
         let mut action = PacketAction::Forward;
-        for (i, step) in self.steps.iter().enumerate() {
-            if session_in_hw && step.table == tables.session {
-                continue;
-            }
-            // Per-flow, per-step deterministic entry index: the same flow
-            // re-reads the same entries (that is what the cache can exploit).
-            let idx = mix(flow_hash, step.salt);
-            let addr = tables.ws.entry_addr(step.table, idx);
-            latency += mem.read_entry(core, addr, self.entry_bytes[i]);
+        for (table, addr, bytes) in steps {
+            latency += mem.read_entry(core, addr, bytes);
             if let Some(m) = self.acl_drop_modulus {
                 // The ACL is evaluated where it sits in the chain; denial
                 // aborts the remaining lookups.
-                if step.table == tables.acl && flow_hash.is_multiple_of(m) {
+                if table == tables.acl && flow_hash.is_multiple_of(m) {
                     action = PacketAction::Drop;
                     break;
                 }

@@ -3,11 +3,18 @@
 //! The L3 is shared by all cores of a NUMA node (§4.2: "since L3 cache is
 //! shared across cores, both RSS and PLB ultimately achieve similar
 //! performance"), so the model keeps one tag store and per-core hit
-//! statistics. Replacement is true LRU per set, tracked with a global access
-//! counter — simple and deterministic.
+//! statistics. Replacement is true LRU per set, tracked as a recency rank
+//! per way: 0 is the most recently used way, `ways - 1` the victim. A hit
+//! moves its way to rank 0 and ages every way that was more recent; a miss
+//! writes its tag into the victim and moves that way to rank 0 the same
+//! way. Simple and deterministic, and it evicts exactly the line a global
+//! access clock with per-way last-use stamps would (DESIGN.md §4j).
 //!
 //! With the production geometry (192 MiB, 16-way, 64 B lines) the tag store
-//! is ~3.1 M entries; the simulation keeps it as two flat `Vec`s.
+//! is ~2.1 M entries, kept as two flat `Vec`s: `u32` tags whose sets start
+//! on a 64-byte boundary, so a 16-way set is exactly one host cache line,
+//! and one `u8` rank per way, a 16-byte word per set. An access reads one
+//! tag line and one rank word, and the whole store takes 10 MiB.
 
 /// Cache line size in bytes.
 pub const LINE_BYTES: usize = 64;
@@ -17,16 +24,25 @@ pub const LINE_BYTES: usize = 64;
 pub struct SharedCache {
     sets: usize,
     ways: usize,
-    /// Tag per (set, way); `u64::MAX` marks an empty way.
-    tags: Vec<u64>,
-    /// Last-use stamp per (set, way).
-    stamps: Vec<u64>,
-    clock: u64,
+    /// `log2(sets)`: a line's tag is `line >> set_bits`.
+    set_bits: u32,
+    /// Tag per (set, way) from index `tag_base` on; [`EMPTY`] marks an
+    /// empty way. `tag_base` puts set 0 on a 64-byte host line boundary.
+    tags: Vec<u32>,
+    tag_base: usize,
+    /// Recency rank per (set, way): each set's ranks are a permutation of
+    /// `0..ways`, 0 the most recently used way, `ways - 1` the next victim.
+    ranks: Vec<u8>,
     hits: Vec<u64>,
     misses: Vec<u64>,
 }
 
-const EMPTY: u64 = u64::MAX;
+/// Tag of an empty way. No line's tag reaches it: [`SharedCache::access`]
+/// rejects addresses whose tag would.
+const EMPTY: u32 = u32::MAX;
+
+/// Largest associativity: ranks are one byte.
+const MAX_WAYS: usize = u8::MAX as usize;
 
 impl SharedCache {
     /// Creates a cache of `size_bytes` capacity and `ways` associativity.
@@ -34,7 +50,7 @@ impl SharedCache {
     /// The set count is rounded down to a power of two for cheap indexing.
     ///
     /// # Panics
-    /// Panics when the geometry yields zero sets.
+    /// Panics when the geometry yields zero sets or `ways` exceeds 255.
     pub fn new(size_bytes: usize, ways: usize) -> Self {
         Self::with_cores(size_bytes, ways, 0)
     }
@@ -45,18 +61,39 @@ impl SharedCache {
     /// vectors through a cold path, exactly as [`Self::new`] always did.
     ///
     /// # Panics
-    /// Panics when the geometry yields zero sets.
+    /// Panics when the geometry yields zero sets or `ways` exceeds 255.
     pub fn with_cores(size_bytes: usize, ways: usize, cores: usize) -> Self {
         assert!(ways > 0, "associativity must be positive");
+        assert!(
+            ways <= MAX_WAYS,
+            "associativity {ways} exceeds {MAX_WAYS} ways (one-byte LRU ranks)"
+        );
         let raw_sets = size_bytes / (LINE_BYTES * ways);
         assert!(raw_sets > 0, "cache too small for geometry");
-        let sets = 1usize << (usize::BITS - 1 - raw_sets.leading_zeros());
+        let set_bits = usize::BITS - 1 - raw_sets.leading_zeros();
+        let sets = 1usize << set_bits;
+        // Pad by one host line's worth of tags, then start set 0 where the
+        // allocation crosses a 64-byte boundary. The `Vec` never grows, so
+        // the boundary stays put.
+        let per_line = LINE_BYTES / std::mem::size_of::<u32>();
+        let tags = vec![EMPTY; sets * ways + per_line - 1];
+        let misalign = tags.as_ptr() as usize % LINE_BYTES / std::mem::size_of::<u32>();
+        let tag_base = (per_line - misalign) % per_line;
+        // Way 0 is the least recently used, then way 1, …: empty ways fill
+        // lowest index first.
+        let mut ranks = vec![0; sets * ways];
+        for set in ranks.chunks_exact_mut(ways) {
+            for (w, rank) in set.iter_mut().enumerate() {
+                *rank = (ways - 1 - w) as u8;
+            }
+        }
         Self {
             sets,
             ways,
-            tags: vec![EMPTY; sets * ways],
-            stamps: vec![0; sets * ways],
-            clock: 0,
+            set_bits,
+            tags,
+            tag_base,
+            ranks,
             hits: vec![0; cores],
             misses: vec![0; cores],
         }
@@ -72,42 +109,78 @@ impl SharedCache {
         self.sets * self.ways * LINE_BYTES
     }
 
-    /// Performs an access from `core` to byte address `addr`.
-    /// Returns `true` on hit. Misses install the line, evicting LRU.
-    pub fn access(&mut self, core: usize, addr: u64) -> bool {
+    /// Maps `addr` to its set and tag.
+    ///
+    /// # Panics
+    /// Panics when the tag does not fit below [`EMPTY`]: a wider address
+    /// would alias another line instead of missing.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u32) {
         let line = addr / LINE_BYTES as u64;
         let set = (line as usize) & (self.sets - 1);
-        let tag = line / self.sets as u64;
-        let base = set * self.ways;
-        self.clock += 1;
+        let tag = line >> self.set_bits;
+        assert!(
+            tag < u64::from(EMPTY),
+            "address {addr:#x} is beyond the cache's tag range"
+        );
+        (set, tag as u32)
+    }
+
+    /// Performs an access from `core` to byte address `addr`.
+    /// Returns `true` on hit. Misses install the line, evicting LRU.
+    ///
+    /// # Panics
+    /// Panics when the tag `addr / 64 / sets` reaches `u32::MAX`, i.e. for
+    /// addresses from about `2^32 × sets × 64` bytes on.
+    pub fn access(&mut self, core: usize, addr: u64) -> bool {
+        let (set, tag) = self.locate(addr);
         if core >= self.hits.len() {
             self.grow_stats(core);
         }
+        let ways = self.ways;
+        let tags = &mut self.tags[self.tag_base + set * ways..][..ways];
+        let ranks = &mut self.ranks[set * ways..][..ways];
 
-        let mut lru_way = 0;
-        let mut lru_stamp = u64::MAX;
-        for w in 0..self.ways {
-            let idx = base + w;
-            if self.tags[idx] == tag {
-                self.stamps[idx] = self.clock;
-                self.hits[core] += 1;
-                return true;
+        // One branch-free pass finds the hit way and the victim (the way of
+        // rank `ways - 1`), so the host can run ahead into the next access
+        // while this set's lines are still on their way. On a hit the tag
+        // write stores the tag already there.
+        let lru = (ways - 1) as u8;
+        let mut hit_way = ways;
+        let mut victim = 0;
+        for (w, (&t, &r)) in tags.iter().zip(ranks.iter()).enumerate() {
+            if t == tag {
+                hit_way = w;
             }
-            let stamp = if self.tags[idx] == EMPTY {
-                0
-            } else {
-                self.stamps[idx]
-            };
-            if stamp < lru_stamp {
-                lru_stamp = stamp;
-                lru_way = w;
+            if r == lru {
+                victim = w;
             }
         }
-        let idx = base + lru_way;
-        self.tags[idx] = tag;
-        self.stamps[idx] = self.clock;
-        self.misses[core] += 1;
-        false
+        let hit = hit_way < ways;
+        let way = if hit { hit_way } else { victim };
+        tags[way] = tag;
+        let rank = ranks[way];
+        for r in ranks.iter_mut() {
+            *r += u8::from(*r < rank);
+        }
+        ranks[way] = 0;
+        self.hits[core] += u64::from(hit);
+        self.misses[core] += u64::from(!hit);
+        hit
+    }
+
+    /// Loads the host lines [`Self::access`] would read for `addr` — its
+    /// set's tags and ranks — without changing any state. Touching the
+    /// sets of several independent accesses before making them lets their
+    /// host cache misses overlap instead of queueing one after another.
+    ///
+    /// # Panics
+    /// Panics where [`Self::access`] would.
+    #[inline]
+    pub fn touch(&self, addr: u64) {
+        let (set, _) = self.locate(addr);
+        std::hint::black_box(self.tags[self.tag_base + set * self.ways]);
+        std::hint::black_box(self.ranks[set * self.ways]);
     }
 
     /// Grows the per-core stat vectors for a core id beyond the pre-sized
@@ -256,6 +329,99 @@ mod tests {
         // A core beyond the pre-sized range still works via the cold path.
         sized.access(9, 0x40);
         assert_eq!(sized.core_hit_rate(9), 1.0);
+    }
+
+    #[test]
+    fn empty_ways_fill_lowest_index_first() {
+        // One set of four ways: each compulsory miss takes the lowest empty
+        // way, exactly as the stamp-LRU store did (empty = stamp 0, lowest
+        // index wins), and becomes the most recently used.
+        let mut c = SharedCache::new(4 * 64, 4);
+        let set = |c: &SharedCache| c.tags[c.tag_base..c.tag_base + 4].to_vec();
+        assert_eq!(set(&c), [EMPTY; 4]);
+        assert_eq!(c.ranks, [3, 2, 1, 0], "way 0 is LRU, then way 1, …");
+        for (n, tag) in [7u32, 3, 5].into_iter().enumerate() {
+            assert!(!c.access(0, u64::from(tag) * 64));
+            let mut want = [EMPTY; 4];
+            want[..=n].copy_from_slice(&[7, 3, 5][..=n]);
+            assert_eq!(set(&c), want, "after {} misses", n + 1);
+        }
+        assert_eq!(c.ranks, [2, 1, 0, 3], "the last empty way is next");
+        // A hit moves its way to rank 0 and ages only the more recent ways.
+        assert!(c.access(0, 7 * 64));
+        assert_eq!(c.ranks, [0, 2, 1, 3]);
+        // A fourth line fills way 3; a fifth evicts the LRU line, 3 in way 1.
+        assert!(!c.access(0, 9 * 64));
+        assert!(!c.access(0, 11 * 64));
+        assert_eq!(set(&c), [7, 11, 5, 9]);
+        assert_eq!(c.ranks, [2, 0, 3, 1]);
+    }
+
+    #[test]
+    fn tag_store_sets_start_on_a_host_line() {
+        let c = SharedCache::new(64 * 1024, 16);
+        let start = c.tags[c.tag_base..].as_ptr() as usize;
+        assert_eq!(start % LINE_BYTES, 0);
+        assert!(c.tags.len() - c.tag_base >= c.sets * c.ways);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity 256 exceeds 255 ways")]
+    fn more_ways_than_ranks_can_order_is_rejected() {
+        SharedCache::with_cores(256 * 64 * 4, 256, 1);
+    }
+
+    #[test]
+    fn widest_associativity_is_true_lru() {
+        let ways = 255;
+        let mut c = SharedCache::new(ways * 64, ways);
+        for line in 0..ways as u64 {
+            assert!(!c.access(0, line * 64));
+        }
+        // Refresh line 0; line 1 is now the LRU line and the one evicted.
+        assert!(c.access(0, 0));
+        assert!(!c.access(0, ways as u64 * 64));
+        assert!(c.access(0, 0));
+        assert!(!c.access(0, 64), "line 1 must have been evicted");
+    }
+
+    #[test]
+    fn highest_addressable_line_is_cached_not_aliased() {
+        // 256 sets: the last line whose tag fits below the empty sentinel.
+        let mut c = SharedCache::new(64 * 1024, 4);
+        let top = (u64::from(u32::MAX) * 256 - 1) * 64;
+        assert!(!c.access(0, top));
+        assert!(c.access(0, top));
+        assert!(
+            !c.access(0, top - 256 * 64),
+            "a different tag in the same set"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the cache's tag range")]
+    fn address_beyond_the_tag_range_panics() {
+        let mut c = SharedCache::new(64 * 1024, 4);
+        c.access(0, u64::from(u32::MAX) * 256 * 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the cache's tag range")]
+    fn touch_beyond_the_tag_range_panics() {
+        SharedCache::new(64 * 1024, 4).touch(u64::MAX);
+    }
+
+    #[test]
+    fn touch_changes_no_state() {
+        let mut c = SharedCache::new(4 * 64, 4);
+        c.access(0, 0);
+        c.access(0, 64);
+        let (tags, ranks) = (c.tags.clone(), c.ranks.clone());
+        for line in 0..8 {
+            c.touch(line * 64);
+        }
+        assert_eq!((c.tags.clone(), c.ranks.clone()), (tags, ranks));
+        assert_eq!((c.total_hits(), c.total_misses()), (0, 2));
     }
 
     #[test]

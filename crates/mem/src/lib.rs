@@ -12,7 +12,9 @@
 //! This crate models exactly those mechanisms:
 //!
 //! * [`cache::SharedCache`] — a set-associative, true-LRU, shared L3 with
-//!   per-core hit statistics.
+//!   per-core hit statistics. Its tag store is laid out for the host: `u32`
+//!   tags with one 16-way set per 64-byte host line, and a one-byte LRU rank
+//!   per way in place of access stamps.
 //! * [`tables::WorkingSet`] — synthetic address-space layout of the gateway's
 //!   forwarding tables, so lookups touch realistic cache-line sequences.
 //! * [`dram::DramModel`] — hit/miss/remote access latencies parameterized by
@@ -102,12 +104,21 @@ impl MemorySystem {
     /// Charges a table-entry read: touches every cache line the entry spans
     /// (capped at 8 lines — entries are "hundreds of bytes", §4.2).
     pub fn read_entry(&mut self, core: usize, addr: u64, entry_bytes: u32) -> u64 {
-        let lines = entry_bytes.div_ceil(cache::LINE_BYTES as u32).clamp(1, 8);
         let mut total = 0;
-        for i in 0..lines {
-            total += self.access(core, addr + u64::from(i) * cache::LINE_BYTES as u64);
+        for line in entry_lines(addr, entry_bytes) {
+            total += self.access(core, line);
         }
         total
+    }
+
+    /// Loads the host memory [`Self::read_entry`] would consult for the same
+    /// entry without changing any state or statistic (see
+    /// [`SharedCache::touch`]). Touching a chain's independent entries
+    /// before reading them overlaps their host cache misses.
+    pub fn touch_entry(&self, addr: u64, entry_bytes: u32) {
+        for line in entry_lines(addr, entry_bytes) {
+            self.cache.touch(line);
+        }
     }
 
     /// The shared cache (for hit-rate statistics).
@@ -119,6 +130,13 @@ impl MemorySystem {
     pub fn dram(&self) -> &DramModel {
         &self.dram
     }
+}
+
+/// Addresses of the cache lines a table entry of `entry_bytes` at `addr`
+/// spans, capped at 8 lines.
+fn entry_lines(addr: u64, entry_bytes: u32) -> impl Iterator<Item = u64> {
+    let lines = entry_bytes.div_ceil(cache::LINE_BYTES as u32).clamp(1, 8);
+    (0..lines).map(move |i| addr + u64::from(i) * cache::LINE_BYTES as u64)
 }
 
 #[cfg(test)]

@@ -42,6 +42,21 @@ echo "==> perfbench tests (offline)"
 # turns an API break or a replay desync into a CI failure.
 cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench end-to-end smoke (four workloads, 1 s each)"
+# One short untraced run per workload through the benchmark's own wrapper.
+# Every run checks the pod packet bound, the Tab. 3 bands, the workload's
+# character and the fingerprint's stability (perfbench/README.md); the
+# last line is a JSON object whose "correct" must be true.
+for w in tab3_inet cps_churn tenant_skew az_drill; do
+    out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0)
+    if ! tail -n 1 <<<"$out" | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'; then
+        echo "ERROR: perfbench $w run failed its checks" >&2
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+    echo "    perfbench $w correct"
+done
+
 echo "==> cargo doc (offline, no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
