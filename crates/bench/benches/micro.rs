@@ -37,15 +37,25 @@ fn bench_lpm(timer: &BenchTimer) {
 
 fn bench_toeplitz(timer: &BenchTimer) {
     let h = ToeplitzHasher::default();
-    let tuple = FiveTuple {
-        src_ip: "66.9.149.187".parse().unwrap(),
-        dst_ip: "161.142.100.80".parse().unwrap(),
-        src_port: 2794,
-        dst_port: 1766,
-        protocol: albatross_packet::flow::IpProtocol::Udp,
-    };
+    // Random UDP 5-tuples, cycled: hashing one constant tuple would let the
+    // branch predictor learn its bits.
+    let mut rng = SimRng::seed_from(7);
+    let tuples: Vec<FiveTuple> = (0..1024)
+        .map(|_| {
+            let r = rng.next_u64();
+            FiveTuple {
+                src_ip: Ipv4Addr::from(r as u32),
+                dst_ip: Ipv4Addr::from((r >> 32) as u32),
+                src_port: rng.next_u64() as u16,
+                dst_port: rng.next_u64() as u16,
+                protocol: albatross_packet::flow::IpProtocol::Udp,
+            }
+        })
+        .collect();
+    let mut i = 0;
     timer.bench("toeplitz_hash_tuple", || {
-        black_box(h.hash_tuple(black_box(&tuple)))
+        i = (i + 1) & 1023;
+        black_box(h.hash_tuple(black_box(&tuples[i])))
     });
 }
 

@@ -69,6 +69,9 @@ pub struct ProcessOutcome {
     pub action: PacketAction,
 }
 
+/// Longest lookup chain (VPC-Internet's).
+const MAX_CHAIN: usize = 7;
+
 #[derive(Debug, Clone, Copy)]
 struct LookupStep {
     table: TableId,
@@ -193,29 +196,29 @@ impl ServicePipeline {
     ) -> ProcessOutcome {
         // Per-flow, per-step deterministic entry index: the same flow
         // re-reads the same entries (that is what the cache can exploit).
-        let steps = self
-            .steps
-            .iter()
-            .zip(&self.entry_bytes)
-            .filter(|(step, _)| !(session_in_hw && step.table == tables.session))
-            .map(|(step, &bytes)| {
-                let addr = tables.ws.entry_addr(step.table, mix(flow_hash, step.salt));
-                (step.table, addr, bytes)
-            });
-        // The lookups are independent, so touch every entry's tag-store
-        // lines first: their host cache misses overlap instead of queueing
-        // behind each other. Touching changes no modeled state.
-        for (_, addr, bytes) in steps.clone() {
-            mem.touch_entry(addr, bytes);
+        // Each address is computed once. The lookups are independent, so
+        // every entry's tag-store line is touched as its address is known:
+        // their host cache misses overlap instead of queueing behind each
+        // other. Touching changes no modeled state.
+        let mut chain = [(0, 0); MAX_CHAIN];
+        let mut len = 0;
+        for (i, step) in self.steps.iter().enumerate() {
+            if session_in_hw && step.table == tables.session {
+                continue;
+            }
+            let addr = tables.ws.entry_addr(step.table, mix(flow_hash, step.salt));
+            mem.touch_entry(addr, self.entry_bytes[i]);
+            chain[len] = (i, addr);
+            len += 1;
         }
         let mut latency = self.base_ns;
         let mut action = PacketAction::Forward;
-        for (table, addr, bytes) in steps {
-            latency += mem.read_entry(core, addr, bytes);
+        for &(i, addr) in &chain[..len] {
+            latency += mem.read_entry(core, addr, self.entry_bytes[i]);
             if let Some(m) = self.acl_drop_modulus {
                 // The ACL is evaluated where it sits in the chain; denial
                 // aborts the remaining lookups.
-                if table == tables.acl && flow_hash.is_multiple_of(m) {
+                if self.steps[i].table == tables.acl && flow_hash.is_multiple_of(m) {
                     action = PacketAction::Drop;
                     break;
                 }
@@ -261,6 +264,7 @@ mod tests {
             .collect();
         let inet = ServicePipeline::new(ServiceKind::VpcInternet, &t).chain_len();
         assert!(lens.iter().all(|&l| l <= inet));
+        assert_eq!(inet, MAX_CHAIN, "the chain walk's array holds every step");
         assert!(inet > ServicePipeline::new(ServiceKind::VpcVpc, &t).chain_len());
     }
 

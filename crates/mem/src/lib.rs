@@ -12,9 +12,13 @@
 //! This crate models exactly those mechanisms:
 //!
 //! * [`cache::SharedCache`] — a set-associative, true-LRU, shared L3 with
-//!   per-core hit statistics. Its tag store is laid out for the host: `u32`
-//!   tags with one 16-way set per 64-byte host line, and a one-byte LRU rank
-//!   per way in place of access stamps.
+//!   per-core hit statistics. Its tag store is laid out for the host: each
+//!   way is one `u16`, a 12-bit tag above a 4-bit LRU rank, so a 16-way set
+//!   takes 32 bytes and the production store 4 MiB. Victims are the same as
+//!   with access stamps, because the ranks order the ways exactly as the
+//!   stamps did. More than 16 ways, or a tag of 4095 or more, take 32-bit
+//!   words (24-bit tag, 8-bit rank); a narrow store widens itself once when
+//!   the first such tag arrives.
 //! * [`tables::WorkingSet`] — synthetic address-space layout of the gateway's
 //!   forwarding tables, so lookups touch realistic cache-line sequences.
 //! * [`dram::DramModel`] — hit/miss/remote access latencies parameterized by
@@ -52,14 +56,15 @@ pub use tables::{TableId, WorkingSet};
 pub struct MemorySystem {
     cache: SharedCache,
     dram: DramModel,
-    /// Extra latency per DRAM access when the accessing pod's memory is on
-    /// the remote NUMA node (0 for intra-NUMA placement).
-    remote_penalty_ns: u64,
-    /// Small extra latency per cache *hit* under cross-NUMA placement:
-    /// snoop/coherence traffic crossing the UPI (§7 lists "unnecessary
-    /// overhead in maintaining cache coherence" among the cross-NUMA
-    /// costs — the reason even a no-lookup workload degrades ~3%).
-    remote_hit_penalty_ns: u64,
+    /// Latency charged per cache hit: the L3 hit latency plus, under
+    /// cross-NUMA placement, a small snoop/coherence cost crossing the UPI
+    /// (§7 lists "unnecessary overhead in maintaining cache coherence"
+    /// among the cross-NUMA costs — the reason even a no-lookup workload
+    /// degrades ~3%).
+    hit_ns: u64,
+    /// Latency charged per miss: the DRAM latency plus, under cross-NUMA
+    /// placement, the remote access penalty.
+    miss_ns: u64,
 }
 
 impl MemorySystem {
@@ -67,10 +72,10 @@ impl MemorySystem {
     /// intra-NUMA placement.
     pub fn new(cache: SharedCache, dram: DramModel) -> Self {
         Self {
+            hit_ns: dram.l3_hit_ns(),
+            miss_ns: dram.miss_ns(),
             cache,
             dram,
-            remote_penalty_ns: 0,
-            remote_hit_penalty_ns: 0,
         }
     }
 
@@ -78,31 +83,32 @@ impl MemorySystem {
     /// remote penalty on every DRAM access and a small coherence cost on
     /// every hit.
     pub fn with_placement(mut self, topo: &NumaTopology, placement: Placement) -> Self {
-        match placement {
-            Placement::IntraNuma => {
-                self.remote_penalty_ns = 0;
-                self.remote_hit_penalty_ns = 0;
-            }
+        let (remote_hit_ns, remote_miss_ns) = match placement {
+            Placement::IntraNuma => (0, 0),
             Placement::CrossNuma => {
-                self.remote_penalty_ns = topo.remote_access_penalty_ns();
-                self.remote_hit_penalty_ns = (topo.remote_access_penalty_ns() / 20).max(1);
+                let penalty = topo.remote_access_penalty_ns();
+                ((penalty / 20).max(1), penalty)
             }
-        }
+        };
+        self.hit_ns = self.dram.l3_hit_ns() + remote_hit_ns;
+        self.miss_ns = self.dram.miss_ns() + remote_miss_ns;
         self
     }
 
     /// Performs one cached access from `core` to `addr`, returning latency
     /// in nanoseconds.
+    #[inline]
     pub fn access(&mut self, core: usize, addr: u64) -> u64 {
         if self.cache.access(core, addr) {
-            self.dram.l3_hit_ns() + self.remote_hit_penalty_ns
+            self.hit_ns
         } else {
-            self.dram.miss_ns() + self.remote_penalty_ns
+            self.miss_ns
         }
     }
 
     /// Charges a table-entry read: touches every cache line the entry spans
     /// (capped at 8 lines — entries are "hundreds of bytes", §4.2).
+    #[inline]
     pub fn read_entry(&mut self, core: usize, addr: u64, entry_bytes: u32) -> u64 {
         let mut total = 0;
         for line in entry_lines(addr, entry_bytes) {
@@ -115,6 +121,7 @@ impl MemorySystem {
     /// entry without changing any state or statistic (see
     /// [`SharedCache::touch`]). Touching a chain's independent entries
     /// before reading them overlaps their host cache misses.
+    #[inline]
     pub fn touch_entry(&self, addr: u64, entry_bytes: u32) {
         for line in entry_lines(addr, entry_bytes) {
             self.cache.touch(line);
@@ -134,6 +141,7 @@ impl MemorySystem {
 
 /// Addresses of the cache lines a table entry of `entry_bytes` at `addr`
 /// spans, capped at 8 lines.
+#[inline]
 fn entry_lines(addr: u64, entry_bytes: u32) -> impl Iterator<Item = u64> {
     let lines = entry_bytes.div_ceil(cache::LINE_BYTES as u32).clamp(1, 8);
     (0..lines).map(move |i| addr + u64::from(i) * cache::LINE_BYTES as u64)
@@ -163,6 +171,19 @@ mod tests {
         let mut remote = small_system().with_placement(&topo, Placement::CrossNuma);
         // Compulsory miss on both; remote must cost more.
         assert!(remote.access(0, 0x5000) > local.access(0, 0x5000));
+    }
+
+    #[test]
+    fn placement_sets_both_charges_and_can_be_undone() {
+        let topo = NumaTopology::albatross_server();
+        let penalty = topo.remote_access_penalty_ns();
+        let mut remote = small_system().with_placement(&topo, Placement::CrossNuma);
+        let (miss, hit) = (remote.access(0, 0x40), remote.access(0, 0x40));
+        assert_eq!(miss, remote.dram().miss_ns() + penalty);
+        assert_eq!(hit, remote.dram().l3_hit_ns() + (penalty / 20).max(1));
+        let mut local = remote.with_placement(&topo, Placement::IntraNuma);
+        assert_eq!(local.access(0, 0x40), local.dram().l3_hit_ns());
+        assert_eq!(local.access(0, 0x80), local.dram().miss_ns());
     }
 
     #[test]

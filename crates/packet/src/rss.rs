@@ -19,10 +19,32 @@ pub const MICROSOFT_KEY: [u8; 40] = [
     0x6a, 0x42, 0xb7, 0x3b, 0xbe, 0xac, 0x01, 0xfa,
 ];
 
+/// Longest input a 40-byte key hashes: every input bit needs a full 32-bit
+/// key window.
+const MAX_INPUT: usize = 36;
+
 /// A Toeplitz hasher over a fixed key.
-#[derive(Debug, Clone)]
+///
+/// The hash is linear over GF(2): it XORs, for every set input bit, the
+/// 32-bit key window starting at that bit. So the contribution of one input
+/// byte depends only on its value and its position, and the hasher keeps
+/// one 256-entry table per position, built once from the key. Hashing is
+/// then one load and one XOR per input byte instead of eight conditional
+/// XORs and shifts.
+#[derive(Clone)]
 pub struct ToeplitzHasher {
     key: [u8; 40],
+    /// `tables[p][b]`: the hash contribution of byte value `b` at input
+    /// position `p`.
+    tables: Box<[[u32; 256]]>,
+}
+
+impl std::fmt::Debug for ToeplitzHasher {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ToeplitzHasher")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Default for ToeplitzHasher {
@@ -34,7 +56,24 @@ impl Default for ToeplitzHasher {
 impl ToeplitzHasher {
     /// Creates a hasher with an explicit key.
     pub fn new(key: [u8; 40]) -> Self {
-        Self { key }
+        let mut tables = vec![[0u32; 256]; MAX_INPUT].into_boxed_slice();
+        for (pos, table) in tables.iter_mut().enumerate() {
+            // The 40 key bits from bit 8·pos on hold the windows of all
+            // eight bits of the byte at `pos`.
+            let bits = key[pos..pos + 5]
+                .iter()
+                .fold(0u64, |bits, &k| bits << 8 | u64::from(k));
+            for bit in 0..8 {
+                // The bit of weight 2^bit is input bit 7 - bit of the byte
+                // (MSB first), so its window starts 7 - bit bits in.
+                let window = (bits >> (bit + 1)) as u32;
+                let weight = 1 << bit;
+                for value in weight..2 * weight {
+                    table[value] = table[value - weight] ^ window;
+                }
+            }
+        }
+        Self { key, tables }
     }
 
     /// Hashes an arbitrary input (must be ≤ 36 bytes so every input bit has
@@ -42,27 +81,13 @@ impl ToeplitzHasher {
     ///
     /// # Panics
     /// Panics if `input` exceeds 36 bytes.
+    #[inline]
     pub fn hash(&self, input: &[u8]) -> u32 {
-        assert!(input.len() <= 36, "input too long for a 40-byte key");
-        let mut result = 0u32;
-        // The sliding 32-bit window of the key, advanced one bit per input
-        // bit. Keep the next 64 key bits in a register and shift.
-        let mut window = u64::from_be_bytes(self.key[0..8].try_into().unwrap());
-        let mut next_key_byte = 8;
-        for &byte in input {
-            for bit in (0..8).rev() {
-                if byte >> bit & 1 == 1 {
-                    result ^= (window >> 32) as u32;
-                }
-                window <<= 1;
-            }
-            // Refill the low byte of the window.
-            if next_key_byte < self.key.len() {
-                window |= u64::from(self.key[next_key_byte]);
-                next_key_byte += 1;
-            }
-        }
-        result
+        assert!(input.len() <= MAX_INPUT, "input too long for a 40-byte key");
+        input
+            .iter()
+            .zip(self.tables.iter())
+            .fold(0, |hash, (&byte, table)| hash ^ table[usize::from(byte)])
     }
 
     /// Hashes the RSS IPv4+TCP/UDP input: src addr, dst addr, src port,
@@ -98,6 +123,7 @@ impl ToeplitzHasher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use albatross_testkit::prelude::*;
 
     fn h() -> ToeplitzHasher {
         ToeplitzHasher::default()
@@ -132,6 +158,42 @@ mod tests {
         for &(src, dst, expect) in cases {
             let got = h().hash_v4(src.parse().unwrap(), dst.parse().unwrap());
             assert_eq!(got, expect, "{src} -> {dst}");
+        }
+    }
+
+    /// The textbook bit-serial Toeplitz loop: for every input bit, MSB
+    /// first, XOR in the 32-bit key window starting at that bit.
+    fn bit_serial(key: &[u8; 40], input: &[u8]) -> u32 {
+        let mut result = 0u32;
+        let mut window = u64::from_be_bytes(key[0..8].try_into().unwrap());
+        let mut next_key_byte = 8;
+        for &byte in input {
+            for bit in (0..8).rev() {
+                if byte >> bit & 1 == 1 {
+                    result ^= (window >> 32) as u32;
+                }
+                window <<= 1;
+            }
+            if next_key_byte < key.len() {
+                window |= u64::from(key[next_key_byte]);
+                next_key_byte += 1;
+            }
+        }
+        result
+    }
+
+    props! {
+        #![cases(512)]
+
+        /// The table-driven hash equals the bit-serial loop on any key and
+        /// any input up to 36 bytes.
+        fn tables_match_the_bit_serial_loop(
+            key in vec_of(any::<u8>(), 40),
+            input in vec_of(any::<u8>(), 0..=36),
+        ) {
+            let key: [u8; 40] = key.try_into().unwrap();
+            assert_eq!(ToeplitzHasher::new(key).hash(&input), bit_serial(&key, &input));
+            assert_eq!(h().hash(&input), bit_serial(&MICROSOFT_KEY, &input));
         }
     }
 

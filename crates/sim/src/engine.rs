@@ -259,8 +259,9 @@ impl<E> Engine<E> {
         None
     }
 
-    /// Removes and returns the `(time, seq)`-minimum entry of `slot`.
-    fn take_min(&mut self, slot: usize) -> Entry<E> {
+    /// Removes and returns the `(time, seq)`-minimum entry of `slot` if it
+    /// fires at or before `deadline`.
+    fn take_min_until(&mut self, slot: usize, deadline: SimTime) -> Option<Entry<E>> {
         let v = &mut self.slots[slot];
         let mut best = 0;
         for i in 1..v.len() {
@@ -268,11 +269,14 @@ impl<E> Engine<E> {
                 best = i;
             }
         }
+        if v[best].time > deadline {
+            return None;
+        }
         let entry = v.swap_remove(best);
         if self.slots[slot].is_empty() {
             self.retire(slot);
         }
-        entry
+        Some(entry)
     }
 
     /// Appends `entry` to `slot`, giving an empty slot a spare buffer.
@@ -419,9 +423,18 @@ impl<E> Engine<E> {
     /// Pops the earliest event, advancing the clock to its timestamp.
     /// Returns `None` when the queue has drained.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Pops the earliest event only if it fires at or before `deadline`.
+    ///
+    /// One scan finds the head slot and its minimum, which is both checked
+    /// against the deadline and taken.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
         loop {
             if let Some(slot) = self.first_occupied(self.base_tick as usize & SLOT_MASK) {
-                let entry = self.take_min(slot);
+                // All wheel entries precede all overflow entries.
+                let entry = self.take_min_until(slot, deadline)?;
                 self.now = entry.time;
                 let tick = entry.tick();
                 if tick != self.base_tick {
@@ -436,18 +449,13 @@ impl<E> Engine<E> {
             // Wheel drained: jump to the earliest far event and re-home the
             // overflow entries that now fit the window.
             self.purge_overflow_head();
-            let top_tick = self.overflow.peek()?.tick();
-            self.base_tick = top_tick;
+            let top = self.overflow.peek()?;
+            if top.time > deadline {
+                return None;
+            }
+            self.base_tick = top.tick();
             self.migrate();
         }
-    }
-
-    /// Pops the earliest event only if it fires at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? > deadline {
-            return None;
-        }
-        self.pop()
     }
 
     /// Timestamp of the next live event without popping it.

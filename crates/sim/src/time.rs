@@ -16,6 +16,9 @@ impl SimTime {
     /// Time zero.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The far future: the latest representable time.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Constructs from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)

@@ -133,6 +133,51 @@ props! {
         assert_eq!(got, want);
     }
 
+    /// `pop_until` yields exactly the `(time, seq)` sequence of
+    /// `peek_time` followed by `pop`: two engines get the same schedules
+    /// and cancels, one pops with deadlines, the other peeks and pops.
+    /// Delays reach past the ~262 µs wheel window, so events and cancels
+    /// sit on both sides of it, and deadlines fall between events, on them
+    /// and one nanosecond before them.
+    fn pop_until_matches_peek_then_pop(ops in vec_of((0u8..6, any::<u32>()), 1..400)) {
+        let mut a = Engine::new();
+        let mut b = Engine::new();
+        let mut ids = Vec::new();
+        for (seq, &(op, r)) in ops.iter().enumerate() {
+            assert_eq!(a.now(), b.now());
+            let now = a.now().as_nanos();
+            let r = u64::from(r);
+            let delay = if r & 1 == 0 { (r >> 1) % 300_000 } else { (r >> 1) % 3_000_000 };
+            match op {
+                0 | 1 => {
+                    let at = SimTime::from_nanos(now + delay);
+                    ids.push((a.schedule(at, seq), b.schedule(at, seq)));
+                }
+                2 if !ids.is_empty() => {
+                    let (ida, idb) = ids[r as usize % ids.len()];
+                    a.cancel(ida);
+                    b.cancel(idb);
+                }
+                _ => {
+                    let deadline = match (op, b.peek_time()) {
+                        (4, Some(t)) => t,
+                        (5, Some(t)) => SimTime::from_nanos(t.as_nanos().saturating_sub(1)),
+                        _ => SimTime::from_nanos(now + delay),
+                    };
+                    let got = a.pop_until(deadline);
+                    let want = match b.peek_time() {
+                        Some(t) if t <= deadline => b.pop(),
+                        _ => None,
+                    };
+                    assert_eq!(got, want, "deadline {deadline}");
+                }
+            }
+            assert_eq!(a.len(), b.len());
+        }
+        let drain = |e: &mut Engine<usize>| std::iter::from_fn(|| e.pop()).collect::<Vec<_>>();
+        assert_eq!(drain(&mut a), drain(&mut b));
+    }
+
     /// Cancelling a subset of events removes exactly those events.
     fn engine_cancellation_is_exact(
         n in 1usize..100,

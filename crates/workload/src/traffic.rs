@@ -35,6 +35,10 @@ impl ConstantRateSource {
     /// Creates a source emitting `pps` packets/s from `start` to `end`,
     /// cycling flows round-robin (deterministic).
     ///
+    /// The interval between packets is `1e9 / pps` rounded down to whole
+    /// nanoseconds, so a rate that does not divide 1e9 comes out higher
+    /// than asked: 48 Mpps gives a 20 ns interval, which is 50 Mpps.
+    ///
     /// # Panics
     /// Panics if `pps` is zero.
     pub fn new(flows: FlowSet, pps: u64, len_bytes: u32, start: SimTime, end: SimTime) -> Self {
@@ -287,6 +291,21 @@ mod tests {
         // Round-robin over the 4 flows.
         assert_eq!(pkts[0].tuple, pkts[4].tuple);
         assert_ne!(pkts[0].tuple, pkts[1].tuple);
+    }
+
+    #[test]
+    fn constant_rate_interval_rounds_down_to_whole_nanoseconds() {
+        // 1e9 / 48e6 = 20.83 ns → 20 ns: 500 packets per 10 µs, not 480.
+        let mut s = ConstantRateSource::new(
+            flows(4, 1),
+            48_000_000,
+            256,
+            SimTime::ZERO,
+            SimTime::from_micros(10),
+        );
+        let pkts = collect(&mut s);
+        assert_eq!(pkts[1].time - pkts[0].time, 20);
+        assert_eq!(pkts.len(), 500);
     }
 
     #[test]

@@ -57,6 +57,18 @@ for w in tab3_inet cps_churn tenant_skew az_drill; do
     echo "    perfbench $w correct"
 done
 
+echo "==> perfbench traced smoke (tab3_inet)"
+# The traced run replays the pod at full size through Engine, MemorySystem
+# and ServicePipeline and checks that the replay re-derives the real run's
+# counters; the small replay-faithfulness configs above cover less.
+out=$(python3 perfbench/run.py --workload tab3_inet --seed 1 --trace 1)
+if ! tail -n 1 <<<"$out" | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])'; then
+    echo "ERROR: traced perfbench tab3_inet run failed its checks" >&2
+    printf '%s\n' "$out" >&2
+    exit 1
+fi
+echo "    traced perfbench tab3_inet correct"
+
 echo "==> cargo doc (offline, no deps, warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
